@@ -17,7 +17,7 @@ the fast pytest-benchmark variant that runs with the rest of the suite.
 import os
 import time
 
-from repro import pipeline
+from repro import api
 from repro.core.tagging import RulesetHandle
 from repro.logmodel.record import LogRecord
 from repro.parallel import ParallelConfig
@@ -59,7 +59,7 @@ def _signature(result):
 def test_serial_pipeline_throughput(benchmark):
     records = _synthetic_stream(N_RECORDS)
     result = benchmark.pedantic(
-        pipeline.run_stream, args=(records, SYSTEM), rounds=3, iterations=1,
+        api.run_stream, args=(records, SYSTEM), rounds=3, iterations=1,
     )
     assert result.raw_alert_count > 0
 
@@ -68,7 +68,7 @@ def test_parallel_pipeline_throughput(benchmark):
     records = _synthetic_stream(N_RECORDS)
     config = ParallelConfig(workers=2, batch_size=BATCH_SIZE)
     result = benchmark.pedantic(
-        pipeline.run_stream, args=(records, SYSTEM),
+        api.run_stream, args=(records, SYSTEM),
         kwargs={"parallel": config}, rounds=3, iterations=1,
     )
     assert result.shard_stats is not None
@@ -80,13 +80,13 @@ def test_parallel_matches_serial_and_records_trajectory(benchmark):
 
     def sweep():
         t0 = time.perf_counter()
-        serial = pipeline.run_stream(records, SYSTEM)
+        serial = api.run_stream(records, SYSTEM)
         serial_secs = time.perf_counter() - t0
         timings = []
         for workers in (2, 4):
             config = ParallelConfig(workers=workers, batch_size=BATCH_SIZE)
             t0 = time.perf_counter()
-            par = pipeline.run_stream(records, SYSTEM, parallel=config)
+            par = api.run_stream(records, SYSTEM, parallel=config)
             timings.append((workers, time.perf_counter() - t0, par))
         return serial, serial_secs, timings
 
@@ -140,7 +140,7 @@ def test_engine_driver_matrix_equivalence_and_cost(benchmark):
         timings = []
         for name, kwargs in matrix.items():
             t0 = time.perf_counter()
-            result = pipeline.run_stream(records, SYSTEM, **kwargs)
+            result = api.run_stream(records, SYSTEM, **kwargs)
             timings.append((name, time.perf_counter() - t0, result))
         return timings
 

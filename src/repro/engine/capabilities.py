@@ -52,7 +52,8 @@ class DriverCapabilities:
     """One row of the composition table."""
 
     name: str
-    #: Where a checkpoint is consistent: ``"record"`` (after any record),
+    #: Where a checkpoint is consistent: ``"record"`` (after any record;
+    #: the serial driver cuts its batches where a snapshot falls due),
     #: ``"batch"`` (at batch boundaries; in-flight worker batches have
     #: touched no path state), or ``"drained-queues"`` (only when every
     #: bounded queue is empty).
@@ -75,7 +76,8 @@ CAPABILITY_TABLE = {
             name="serial",
             checkpoint_barrier="record",
             equivalence=BYTE_IDENTICAL,
-            notes="the reference schedule; one record at a time",
+            notes="the reference schedule; batches cut at the checkpoint "
+                  "due point",
         ),
         DriverCapabilities(
             name="sharded",

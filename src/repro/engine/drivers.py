@@ -1,13 +1,13 @@
 """Execution drivers: serial, sharded-parallel, and bounded schedules.
 
-A driver owns the *schedule* of one pipeline run — when each record
+A driver owns the *schedule* of one pipeline run — when each batch
 moves through the :class:`~repro.engine.path.AlertPath` — and nothing
-else: the per-record semantics live entirely in the path, so every
-driver produces the same observable output (the bounded drivers modulo
-the documented shedding tolerance).  This is the piece that replaces the
-three hand-forked loops the pipeline used to carry:
+else: the semantics live entirely in the path's one batch core, so
+every driver produces the same observable output (the bounded drivers
+modulo the documented shedding tolerance):
 
-* :class:`SerialDriver` — one record at a time, the reference schedule;
+* :class:`SerialDriver` — batches tagged in process, the reference
+  schedule;
 * :class:`ShardedDriver` — tagging fans out to worker processes
   (:class:`~repro.parallel.sharded.ShardedTagger`); stats, severity,
   and the Algorithm 3.1 filter stay the single sequential consumer of
@@ -18,20 +18,21 @@ three hand-forked loops the pipeline used to carry:
   stage tags through the worker pool (the bounded ingest queue feeds the
   sharded tagger's already-bounded in-flight window).
 
-Checkpointing is orthogonal to all three: every driver accepts a
+Strict and quarantine runs take the same batched loops.  Checkpointing
+is orthogonal to all three: every driver accepts a
 :class:`~repro.resilience.checkpoint.CheckpointManager` and snapshots at
-its own consistency barrier — after any record (serial), at batch
-boundaries where no in-flight worker state affects the path (sharded),
-or at drained-queue barriers (bounded).  ``path.consumed`` is exact at
-each barrier, so a resumed run of the *same* deterministic stream lands
-byte-identical (bounded: within shedding tolerance).
+its own consistency barrier — exact multiples of ``every`` (serial,
+which cuts its batches there), batch boundaries where no in-flight
+worker state affects the path (sharded), or drained-queue barriers
+(bounded).  ``path.consumed`` is exact at each barrier, so a resumed run
+of the *same* deterministic stream lands byte-identical (bounded: within
+shedding tolerance).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import islice
-from typing import Deque, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Iterator, Optional, Protocol, runtime_checkable
 
 from ..logmodel.record import LogRecord
 from ..parallel.config import ParallelConfig
@@ -80,16 +81,12 @@ SERIAL_BATCH_SIZE = 4096
 
 
 class SerialDriver:
-    """The reference schedule: one record at a time, in process.
+    """The reference schedule: batches through
+    :meth:`AlertPath.process_batch`, in process.
 
-    Without a checkpointer the records move in batches through
-    :meth:`AlertPath.process_batch` — semantically the same per-record
-    loop (the path falls back to it whenever per-record observability
-    matters, e.g. quarantine mode), but with the per-record render/
-    encode/compress/severity overhead amortized per batch.  A
-    checkpointer forces the genuine per-record loop: the serial driver's
-    checkpoint barrier is *any record*, and batching would quantize the
-    snapshot cadence.
+    With a checkpointer, each batch is cut where the next snapshot falls
+    due, so snapshots land on exact multiples of ``every`` input records
+    whatever happens to the record that makes one due.
     """
 
     name = "serial"
@@ -100,20 +97,17 @@ class SerialDriver:
         path: AlertPath,
         checkpointer: Optional[CheckpointManager] = None,
     ) -> DriverReport:
-        if checkpointer is None:
-            stream = iter(source)
-            while True:
-                batch = list(islice(stream, SERIAL_BATCH_SIZE))
-                if not batch:
-                    break
-                path.process_batch(batch)
-            return DriverReport()
-        for record in source:
-            if not path.admit(record):
-                continue
-            path.process(record)
-            checkpointer.maybe(path.consumed, path.snapshot)
-        return DriverReport()
+        stream = iter(source)
+        while True:
+            size = SERIAL_BATCH_SIZE
+            if checkpointer is not None:
+                size = min(size, checkpointer.due_in(path.consumed))
+            batch = list(islice(stream, size))
+            if not batch:
+                return DriverReport()
+            path.process_batch(batch)
+            if checkpointer is not None:
+                checkpointer.maybe(path.consumed, path.snapshot)
 
 
 class ShardedDriver:
@@ -121,10 +115,10 @@ class ShardedDriver:
     stays in the parent.
 
     Only the tagger — the hot path, where almost every record matches no
-    rule — runs in workers.  Batches are cut from the *raw* stream and
-    only the structurally valid records are shipped; admission,
+    rule — runs in workers.  Each raw batch is shipped whole; admission,
     quarantine, stats, severity, and the filter all happen in the parent
-    at batch-processing time, in original stream order, so the
+    when the merged outcome comes back, in original stream order (the
+    path ignores outcomes at positions admission rejects), so the
     dead-letter interleaving and every path decision match the serial
     schedule exactly.
 
@@ -146,52 +140,6 @@ class ShardedDriver:
         path: AlertPath,
         checkpointer: Optional[CheckpointManager] = None,
     ) -> DriverReport:
-        if path.dead_letters is None:
-            return self._run_strict(source, path, checkpointer)
-        pending: Deque[Tuple[List[LogRecord], Optional[List[bool]]]] = deque()
-
-        def shipped() -> Iterator[List[LogRecord]]:
-            """Cut raw batches; ship the valid subsequence to workers."""
-            for raw_batch in chunked(source, self.config.batch_size):
-                flags = [path.valid(r) for r in raw_batch]
-                valid = [r for r, ok in zip(raw_batch, flags) if ok]
-                pending.append((raw_batch, flags))
-                yield valid
-
-        with ShardedTagger(path.system, self.config) as sharded:
-            for _valid_batch, outcome in sharded.tag_batches(shipped()):
-                raw_batch, _flags = pending.popleft()
-                errors = outcome.error_map()
-                hits = outcome.hit_map()
-                shipped_index = 0
-                for record in raw_batch:
-                    if not path.admit(record):
-                        continue
-                    path.observe(record)
-                    alert = path.apply_tagged(
-                        record,
-                        alert=hits.get(shipped_index),
-                        error=errors.get(shipped_index),
-                    )
-                    shipped_index += 1
-                    if alert is not None:
-                        path.offer(alert)
-                if checkpointer is not None:
-                    checkpointer.maybe(path.consumed, path.snapshot)
-            shard_stats = sharded.stats
-        return DriverReport(shard_stats=shard_stats)
-
-    def _run_strict(
-        self,
-        source: Iterator[LogRecord],
-        path: AlertPath,
-        checkpointer: Optional[CheckpointManager],
-    ) -> DriverReport:
-        """Strict mode ships every record (the serial path does not
-        validate either), so the shipped batch *is* the raw batch and
-        each merged outcome replays through the path's batch form.  The
-        checkpoint barrier is unchanged — after batch *i* the path
-        reflects exactly batches ``0..i``."""
         with ShardedTagger(path.system, self.config) as sharded:
             for batch, outcome in sharded.tag_batches(
                 chunked(source, self.config.batch_size)
@@ -364,11 +312,9 @@ class BoundedDriver:
             monitor.note_throughput("tag", len(batch))
 
             # -- filter stage -------------------------------------------
-            drained = 0
-            while drained < config.filter_batch and alert_q:
-                path.offer(alert_q.get())
-                drained += 1
-            monitor.note_throughput("filter", drained)
+            alerts = alert_q.take(config.filter_batch)
+            path.offer(alerts)
+            monitor.note_throughput("filter", len(alerts))
 
             monitor.sample()
             degraded = self._degrade_check(path, monitor, degraded)
@@ -404,17 +350,9 @@ class BoundedDriver:
                     batches = chunked(iter(round_records),
                                       self.parallel.batch_size)
                     for batch, outcome in sharded.tag_batches(batches):
-                        errors = outcome.error_map()
-                        hits = outcome.hit_map()
-                        for i, record in enumerate(batch):
-                            path.observe(record)
-                            alert = path.apply_tagged(
-                                record, alert=hits.get(i),
-                                error=errors.get(i),
-                            )
-                            if alert is not None:
-                                path.offer(alert)
-                                offered += 1
+                        path.process_tagged_batch(batch, outcome,
+                                                  admitted=True)
+                        offered += len(outcome.hits)
                 monitor.note_throughput("tag", len(round_records))
                 monitor.note_throughput("filter", offered)
 

@@ -1,24 +1,29 @@
-"""The per-record semantics of the pipeline, expressed exactly once.
+"""The semantics of the pipeline, expressed exactly once.
 
-Before the engine existed, the semantic core of Section 3 — admission,
-Table 2 volume statistics, expert-rule tagging, the severity cross-tab,
-the Algorithm 3.1 offer, and every dead-letter branch — was hand-forked
-into three loops inside ``pipeline.py`` (serial, sharded-parallel, and
-bounded), and every behavioral PR had to patch all three.
-:class:`AlertPath` is that core as one object.  Drivers
-(:mod:`repro.engine.drivers`) decide *when* each step runs; the path
-decides *what* the step does, so the serial, sharded, and bounded
-schedules cannot drift apart semantically.
+Section 3's pipeline is one chain: admission, Table 2 volume
+statistics, expert-rule tagging, the severity cross-tab, and the
+Algorithm 3.1 offer.  :class:`AlertPath` runs that chain in one private
+batch core; drivers (:mod:`repro.engine.drivers`) decide *when* a batch
+moves, the core decides *what* happens to it, so the serial, sharded,
+bounded, and service schedules cannot drift apart semantically.
 
-The granular methods compose into the two canonical per-record shapes:
+The public entries are thin calls into the core:
 
-* :meth:`process` — admit -> observe -> tag (severity included) ->
-  offer, the serial shape, also used by the bounded driver split across
-  queue boundaries (observe+tag at the service stage, offer at the
-  filter stage);
-* :meth:`apply_tagged` + :meth:`offer` — the sharded shape, where the
-  tag outcome was computed in a worker process and the parent replays
-  the same severity/dead-letter decisions on the merged stream.
+* :meth:`process_batch` — admit and run a batch, tagging in process
+  through :meth:`Tagger.match_texts` (the serial driver);
+* :meth:`process_tagged_batch` — the same, with the tag outcome a
+  worker computed (the sharded drivers);
+* :meth:`tag_batch_admitted` + :meth:`offer` — the bounded driver's tag
+  and filter stages, split across its filter queue;
+* :meth:`admit` + :meth:`process` — one record (the service tenant,
+  whose unit of failure is one record).
+
+Without a dead-letter queue the path is strict: a record a step cannot
+process raises that step's exception.  With one it quarantines the
+record instead.  One helper makes that decision, and a batch's dead
+letters are queued in stream-position order, so ``invalid-record``,
+``tagger-error`` and ``out-of-order`` letters interleave exactly as a
+per-record loop interleaves them.
 
 The path also owns resumability: :meth:`snapshot` captures every piece
 of mutable state plus ``consumed`` (records pulled from the input
@@ -29,7 +34,9 @@ checkpoint/resume works identically under every driver.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.filtering import (
     DEFAULT_THRESHOLD,
@@ -39,7 +46,7 @@ from ..core.filtering import (
 )
 from ..core.categories import Alert
 from ..core.rules import get_ruleset
-from ..core.tagging import Tagger
+from ..core.tagging import BatchOutcome, Tagger
 from ..analysis.severity_eval import SeverityCrossTab
 from ..logio.stats import StatsCollector
 from ..logmodel.record import LogRecord
@@ -56,12 +63,15 @@ from ..resilience.deadletter import (
 )
 from ..parallel.sharded import TaggerErrorReplay
 from .result import PipelineResult
-from .stages import AlertListSink, ObservingSink, emit_batch
+from .stages import AlertListSink, ObservingSink
 
 #: How far back an alert timestamp may run (collector fan-in jitter,
 #: syslog's one-second granularity) before it is quarantined rather than
 #: filtered.  Matches the strict-monotonicity contract of Algorithm 3.1.
 DEFAULT_REORDER_TOLERANCE = 1.0
+
+#: A held dead letter: ``(position in batch, record, reason, detail)``.
+_Letter = Tuple[int, LogRecord, str, str]
 
 
 def _valid_record(record: LogRecord) -> bool:
@@ -75,8 +85,8 @@ def _valid_record(record: LogRecord) -> bool:
 
 
 class AlertPath:
-    """validate -> observe stats -> tag -> severity -> filter ->
-    report/dead-letter, as one stateful object shared by every driver.
+    """admit -> observe stats -> tag -> severity -> filter -> sink, as
+    one stateful object shared by every driver.
 
     With ``dead_letters`` attached the path quarantines what it cannot
     process instead of raising; without a queue the historical strict
@@ -180,201 +190,184 @@ class AlertPath:
         if prediction is not None:
             self.sink = ObservingSink(self.sink, prediction)
 
-    # -- admission ---------------------------------------------------------
+    # -- the public entries: thin calls into the core ----------------------
 
     @staticmethod
     def valid(record: LogRecord) -> bool:
-        """Structural validity, with no side effects (drivers that ship
-        records elsewhere check ahead of time; quarantine still happens
-        in stream order via :meth:`admit`)."""
+        """Structural validity, with no side effects."""
         return _valid_record(record)
 
     def admit(self, record: LogRecord) -> bool:
-        """Count one input record; quarantine the structurally invalid
-        before they can crash the renderer or the filter.  Returns
-        ``True`` when the record proceeds.  Strict mode (no dead-letter
-        queue) admits everything, as the pipeline always has."""
+        """Count one input record and quarantine it if it is structurally
+        invalid; ``True`` when it proceeds to :meth:`process`."""
         self.consumed += 1
-        if self.dead_letters is not None and not _valid_record(record):
-            self.dead_letters.put(record, REASON_INVALID_RECORD)
-            return False
-        return True
-
-    # -- the per-record stages --------------------------------------------
-
-    def observe(self, record: LogRecord) -> None:
-        """Table 2 volume statistics plus the corruption count."""
-        self.stats_collector.observe_record(record)
-        if record.corrupted:
-            self.corrupted += 1
-
-    def tag(self, record: LogRecord) -> Optional[Alert]:
-        """Tag in-process and record the severity cross-tab.  A record
-        that crashes the rules engine is quarantined (or raises in
-        strict mode) and skips the severity tab, exactly as the serial
-        loop always did."""
-        try:
-            alert = self.tagger.tag(record)
-        except Exception as exc:
-            if self.dead_letters is None:
-                raise
-            self.dead_letters.put(record, REASON_TAGGER_ERROR, repr(exc))
-            return None
-        self.severity_tab.add(record, alert is not None)
-        return alert
-
-    def apply_tagged(
-        self,
-        record: LogRecord,
-        alert: Optional[Alert] = None,
-        error: Optional[str] = None,
-    ) -> Optional[Alert]:
-        """The sharded form of :meth:`tag`: the outcome was computed in a
-        worker process; replay the same severity/dead-letter decisions.
-        ``error`` is the worker-side exception ``repr`` (the original
-        object cannot cross the process boundary)."""
-        if error is not None:
-            if self.dead_letters is None:
-                raise TaggerErrorReplay(error)
-            self.dead_letters.put(record, REASON_TAGGER_ERROR, error)
-            return None
-        self.severity_tab.add(record, alert is not None)
-        return alert
-
-    def offer(self, alert: Alert) -> None:
-        """One Algorithm 3.1 offer: filter, report, collect — or
-        quarantine an alert whose timestamp runs backwards beyond the
-        reorder tolerance."""
-        try:
-            kept = self.filter.offer(alert)
-        except OutOfOrderError as exc:
-            if self.dead_letters is None:
-                raise
-            self.dead_letters.put(alert.record, REASON_OUT_OF_ORDER, str(exc))
-            return
-        self.sink.emit(alert, kept)
+        return _valid_record(record) or not self._reject(
+            None, 0, record, REASON_INVALID_RECORD)
 
     def process(self, record: LogRecord) -> None:
-        """The whole post-admission per-record step (the serial shape)."""
-        self.observe(record)
-        alert = self.tag(record)
-        if alert is not None:
-            self.offer(alert)
-
-    # -- the batch shapes --------------------------------------------------
-    #
-    # Semantically these are loops over the per-record methods above; the
-    # batch forms exist because per-record call overhead (render, encode,
-    # compress, severity bookkeeping) dominates the serial hot path.
-    # Quarantine mode keeps the genuine per-record loop: dead-letter
-    # interleaving is part of the observable contract, and quarantined
-    # runs are never the throughput-critical ones.
+        """The chain after :meth:`admit` for one record (the service
+        tenant's unit: its unit of failure is one record)."""
+        self._run((record,), None, False)
 
     def process_batch(self, records: Sequence[LogRecord]) -> None:
-        """Admit and process a whole batch (the serial driver's unit).
+        """Admit and run a batch, tagging in process (the serial unit)."""
+        self._run(records)
 
-        Strict mode (no dead-letter queue) runs fully batched: one
-        stats observation, one severity tally, and one in-order pass of
-        filter offers — byte-identical to the per-record loop, which the
-        engine equivalence tests pin.  Errors still propagate (strict),
-        though a mid-batch crash leaves the already-abandoned path with
-        the whole batch observed rather than a prefix; strict crashes
-        discard the path either way.
-        """
-        if self.dead_letters is not None:
-            for record in records:
-                if self.admit(record):
-                    self.process(record)
-            return
-        n = len(records)
-        if n == 0:
-            return
-        self.consumed += n
-        self.stats_collector.observe_batch(records)
-        self.corrupted += sum(1 for r in records if r.corrupted)
-        texts = [
-            f"{r.facility}: {r.body}" if r.facility else r.body
-            for r in records
-        ]
-        hits = self.tagger.match_texts(texts)
-        self.severity_tab.add_batch(records, [i for i, _ in hits])
-        if not hits:
-            return
-        offer = self.filter.offer
-        pairs = []
-        from_record = Alert.from_record
-        for i, category in hits:
-            alert = from_record(records[i], category)
-            pairs.append((alert, offer(alert)))
-        emit_batch(self.sink, pairs)
+    def process_tagged_batch(
+        self,
+        records: Sequence[LogRecord],
+        outcome: BatchOutcome,
+        admitted: bool = False,
+    ) -> None:
+        """Run a batch a worker tagged: ``outcome`` covers exactly
+        ``records``, and its entries at positions admission rejects are
+        ignored.  ``admitted`` skips admission for records that already
+        passed :meth:`admit` (the bounded-sharded pump)."""
+        self._run(records, outcome, admit=not admitted)
 
     def tag_batch_admitted(
         self, records: Sequence[LogRecord]
     ) -> List[Alert]:
-        """Batch form of :meth:`observe` + :meth:`tag` for records that
-        already passed :meth:`admit` (the bounded tick pump's unit):
-        one stats observation, one ruleset pass, one severity tally.
+        """Observe, tag, and tally admitted records, returning the alerts
+        for the bounded filter stage to hand to :meth:`offer`."""
+        hits = self._run(records, admit=False, offer=False)
+        return [alert for _i, alert in hits]
 
-        A batch the rules engine cannot match falls back to the genuine
-        per-record loop — nothing has been observed at that point, so
-        the fallback reproduces the serial interleaving exactly,
-        including the tagger-error dead letter for the poison record.
-        """
-        if not records:
-            return []
+    def offer(self, alerts: Sequence[Alert]) -> None:
+        """The Algorithm 3.1 offers alone (the bounded filter stage)."""
+        letters: List[_Letter] = []
+        self._offer(list(enumerate(alerts)), range(len(alerts)), letters)
+        self._post(letters)
+
+    # -- the core ------------------------------------------------------------
+
+    def _run(
+        self,
+        records: Sequence[LogRecord],
+        outcome: Optional[BatchOutcome] = None,
+        admit: bool = True,
+        offer: bool = True,
+    ) -> Sequence[Tuple[int, Alert]]:
+        """admit -> observe -> tag -> severity -> offer -> emit, once per
+        batch.  ``outcome`` is a worker's tag result (``None`` tags in
+        process); ``offer=False`` stops after the severity tally.
+        Returns the ``(index, alert)`` hits."""
+        letters: List[_Letter] = []
+        # positions[k] is the k-th surviving record's place in the batch.
+        positions: Sequence[int] = range(len(records))
+        if admit:
+            self.consumed += len(records)
+            if not all(map(_valid_record, records)):
+                positions = [
+                    i for i, record in enumerate(records)
+                    if _valid_record(record) or not self._reject(
+                        letters, i, record, REASON_INVALID_RECORD)
+                ]
+                records = [records[i] for i in positions]
+
+        self.stats_collector.observe_batch(records)
+        self.corrupted += sum(1 for r in records if r.corrupted)
+
+        if outcome is None:
+            hits, errors = self._tag(records)
+        else:
+            hits = outcome.hits
+            errors = [(i, detail, TaggerErrorReplay(detail))
+                      for i, detail in outcome.errors]
+            if len(positions) < outcome.size:
+                slot = {raw: k for k, raw in enumerate(positions)}
+                hits = [(slot[i], a) for i, a in hits if i in slot]
+                errors = [(slot[i], d, e) for i, d, e in errors if i in slot]
+
+        # A record the rules engine crashed on skips the severity tab.
+        tallied = records
+        alert_at = [i for i, _alert in hits] if hits else []
+        if errors:
+            failed = sorted(i for i, _detail, _exc in errors)
+            for i, detail, exc in errors:
+                self._reject(letters, positions[i], records[i],
+                             REASON_TAGGER_ERROR, detail, exc)
+            skip = set(failed)
+            tallied = [r for i, r in enumerate(records) if i not in skip]
+            alert_at = [i - bisect_left(failed, i) for i in alert_at]
+        self.severity_tab.add_batch(tallied, alert_at)
+
+        if offer and hits:
+            self._offer(hits, positions, letters)
+        self._post(letters)
+        return hits
+
+    def _tag(self, records: Sequence[LogRecord]):
+        """In-process tagging: one ruleset pass over the batch.  Only when
+        it raises does :meth:`Tagger.tag_batch` run, to locate the
+        records that raised; each error carries the original exception
+        for strict mode to re-raise."""
         try:
             texts = [
                 f"{r.facility}: {r.body}" if r.facility else r.body
                 for r in records
             ]
-            hits = self.tagger.match_texts(texts)
-        except Exception:
-            alerts: List[Alert] = []
-            for record in records:
-                self.observe(record)
-                alert = self.tag(record)
-                if alert is not None:
-                    alerts.append(alert)
-            return alerts
-        self.stats_collector.observe_batch(records)
-        self.corrupted += sum(1 for r in records if r.corrupted)
-        self.severity_tab.add_batch(records, [i for i, _ in hits])
-        from_record = Alert.from_record
-        return [from_record(records[i], category) for i, category in hits]
+            matched = self.tagger.match_texts(texts)
+            from_record = Alert.from_record
+            return [
+                (i, from_record(records[i], category))
+                for i, category in matched
+            ] if matched else [], ()
+        except Exception as exc:
+            located = self.tagger.tag_batch(records)
+            if not located.errors:
+                raise
+            return located.hits, [(i, d, exc) for i, d in located.errors]
 
-    def process_tagged_batch(self, records, outcome) -> None:
-        """The batch form of the sharded replay: ``outcome`` is a
-        :class:`~repro.core.tagging.BatchOutcome` computed by the worker
-        pool for exactly ``records``.  Strict mode only — the sharded
-        driver keeps its per-record replay when a dead-letter queue (or
-        a worker error, whose position in the stream is observable in
-        strict mode) is involved."""
-        errors = outcome.errors
-        if self.dead_letters is not None or errors:
-            error_map = outcome.error_map()
-            hit_map = outcome.hit_map()
-            for i, record in enumerate(records):
-                if not self.admit(record):
-                    continue
-                self.observe(record)
-                alert = self.apply_tagged(
-                    record, alert=hit_map.get(i), error=error_map.get(i)
-                )
-                if alert is not None:
-                    self.offer(alert)
-            return
-        n = len(records)
-        if n == 0:
-            return
-        self.consumed += n
-        self.stats_collector.observe_batch(records)
-        self.corrupted += sum(1 for r in records if r.corrupted)
-        self.severity_tab.add_batch(records, [i for i, _ in outcome.hits])
-        if not outcome.hits:
-            return
+    def _offer(self, hits, positions: Sequence[int],
+               letters: List[_Letter]) -> None:
+        """Offer ``(index, alert)`` hits in stream order, then emit every
+        ruled-on pair to the sink in one call."""
         offer = self.filter.offer
-        pairs = [(alert, offer(alert)) for _i, alert in outcome.hits]
-        emit_batch(self.sink, pairs)
+        pairs = []
+        for i, alert in hits:
+            try:
+                pairs.append((alert, offer(alert)))
+            except OutOfOrderError as exc:
+                self._reject(letters, positions[i], alert.record,
+                             REASON_OUT_OF_ORDER, str(exc), exc)
+        if pairs:
+            self.sink.emit_batch(pairs)
+
+    def _reject(
+        self,
+        letters: Optional[List[_Letter]],
+        position: int,
+        record: LogRecord,
+        reason: str,
+        detail: str = "",
+        exc: Optional[BaseException] = None,
+    ) -> bool:
+        """The one strict-versus-quarantine decision, for a record a step
+        failed.  Strict mode (no dead-letter queue) raises ``exc``, the
+        step's own exception; admission has none, and strict admits
+        everything.  Quarantine holds the letter for :meth:`_post` (or
+        queues it at once when ``letters`` is ``None``).  Returns
+        ``True`` when the record leaves the batch."""
+        if self.dead_letters is None:
+            if exc is not None:
+                raise exc
+            return False
+        if letters is None:
+            self.dead_letters.put(record, reason, detail)
+        else:
+            letters.append((position, record, reason, detail))
+        return True
+
+    def _post(self, letters: List[_Letter]) -> None:
+        """Queue a batch's dead letters in stream-position order, so the
+        three reasons interleave exactly as a per-record loop puts them
+        (each record fails at most one step)."""
+        if letters:
+            letters.sort(key=itemgetter(0))
+            put = self.dead_letters.put
+            for _position, record, reason, detail in letters:
+                put(record, reason, detail)
 
     # -- resumability ------------------------------------------------------
 
@@ -383,9 +376,8 @@ class AlertPath:
     ) -> PipelineCheckpoint:
         """Complete resumable state at the current record boundary.
         Drivers must only call this when every consumed record is fully
-        accounted for (processed, quarantined, or shed) — the serial
-        driver trivially always is; batch/queue drivers call it at their
-        barriers.
+        accounted for (processed, quarantined, or shed): between core
+        calls, or at a bounded driver's drained-queue barrier.
 
         A store-backed path commits the writer here, so every checkpoint
         is also a store commit barrier: the checkpoint's ``store_state``

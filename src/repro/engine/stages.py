@@ -1,25 +1,22 @@
-"""Stage protocols: the composition contract of the engine.
+"""The seams of the engine: sources in, sinks out.
 
 The paper's pipeline (Section 3) is a linear chain — collect -> tag ->
 filter -> characterize — and every execution strategy (serial, sharded,
-bounded) runs the *same* chain under a different schedule.  These
-protocols pin the seams:
+bounded) runs the *same* chain under a different schedule.  Two
+protocols pin its ends:
 
 * a :class:`Source` produces log records (a generator, a file reader, a
   bounded ingest buffer — anything iterable);
-* a :class:`Stage` consumes one record at a time and mutates its own
-  state (the :class:`~repro.engine.path.AlertPath` is the canonical
-  stage: it *is* the per-record semantics);
 * a :class:`Sink` receives every alert the filter ruled on, with the
   verdict (:class:`AlertListSink` keeps the raw/filtered lists and the
   Table 4 report that :class:`~repro.engine.result.PipelineResult`
   carries).
 
-Drivers (:mod:`repro.engine.drivers`) are deliberately *not* a protocol
-method on stages: a driver owns the schedule (when each record moves),
-the stages own the semantics (what happens to it).  That split is what
-makes parallelism, backpressure, and checkpointing orthogonal wrappers
-instead of forked loops.
+Between them sits :class:`~repro.engine.path.AlertPath`, the chain
+itself.  Drivers (:mod:`repro.engine.drivers`) own the schedule (when
+each batch moves) and the path owns the semantics (what happens to it).
+That split is what makes parallelism, backpressure, and checkpointing
+orthogonal wrappers instead of forked loops.
 """
 
 from __future__ import annotations
@@ -55,69 +52,14 @@ SourceFactory = Callable[[], Iterable[LogRecord]]
 
 
 @runtime_checkable
-class Stage(Protocol):
-    """One per-record processing step with internal state.
-
-    ``process`` is the required contract.  A stage *may* also provide
-    ``process_batch(records)`` — drivers route whole batches through it
-    via :func:`process_batch`, which falls back to the per-record loop,
-    so third-party stages written against the original protocol keep
-    working unchanged.
-    """
-
-    def process(self, record: LogRecord) -> None: ...
-
-
-@runtime_checkable
-class BatchStage(Stage, Protocol):
-    """A stage that also accepts whole record batches."""
-
-    def process_batch(self, records: Sequence[LogRecord]) -> None: ...
-
-
-@runtime_checkable
 class Sink(Protocol):
-    """Receives every alert the filter ruled on, with the verdict.
-
-    ``emit`` is the required contract; a sink *may* also provide
-    ``emit_batch(pairs)`` for ``(alert, kept)`` sequences — see
-    :func:`emit_batch` for the dispatching fallback.
-    """
+    """Receives every alert the filter ruled on, with the verdict: the
+    path hands each batch's ``(alert, kept)`` pairs to ``emit_batch``
+    in one call; ``emit`` takes a single pair."""
 
     def emit(self, alert: Alert, kept: bool) -> None: ...
 
-
-@runtime_checkable
-class BatchSink(Sink, Protocol):
-    """A sink that also accepts whole ``(alert, kept)`` batches."""
-
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None: ...
-
-
-def process_batch(stage: Stage, records: Sequence[LogRecord]) -> None:
-    """Feed a batch to ``stage``, preferring its native batch method.
-
-    The default for stages that only implement ``process`` is the exact
-    per-record loop the drivers always ran, so batch-first drivers
-    compose with third-party per-record stages unchanged.
-    """
-    native = getattr(stage, "process_batch", None)
-    if native is not None:
-        native(records)
-        return
-    for record in records:
-        stage.process(record)
-
-
-def emit_batch(sink: Sink, pairs: Sequence[Tuple[Alert, bool]]) -> None:
-    """Feed ``(alert, kept)`` pairs to ``sink``, preferring its native
-    batch method and falling back to per-pair :meth:`Sink.emit`."""
-    native = getattr(sink, "emit_batch", None)
-    if native is not None:
-        native(pairs)
-        return
-    for alert, kept in pairs:
-        sink.emit(alert, kept)
 
 
 class AlertListSink:
@@ -188,7 +130,7 @@ class ObservingSink:
         self.observer.observe(alert, kept)  # type: ignore[attr-defined]
 
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None:
-        emit_batch(self.inner, pairs)
+        self.inner.emit_batch(pairs)
         native = getattr(self.observer, "observe_batch", None)
         if native is not None:
             native(pairs)

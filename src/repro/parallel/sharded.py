@@ -371,7 +371,10 @@ class ShardedTagger:
         A broken worker pool fails every in-flight future; each affected
         batch is replayed serially exactly once (see
         :meth:`_retry_serially`) and the pool is rebuilt before new
-        submissions.
+        submissions.  When the batch source itself raises (a collector
+        crash), the batches already submitted are still tagged and
+        yielded before the exception propagates, as a serial consumer
+        would have processed every record delivered before the crash.
         """
         source = iter(batches)
         window = self.config.resolved_inflight()
@@ -381,6 +384,7 @@ class ShardedTagger:
         next_index = 0
         next_yield = 0
         exhausted = False
+        failure: Optional[Exception] = None
 
         def submit(task: _Inflight) -> None:
             """Submit one batch, absorbing a pool that broke since the
@@ -406,6 +410,9 @@ class ShardedTagger:
                     records = next(source)
                 except StopIteration:
                     exhausted = True
+                    break
+                except Exception as exc:
+                    exhausted, failure = True, exc
                     break
                 task = _Inflight(index=next_index, records=records)
                 by_index[next_index] = records
@@ -459,6 +466,8 @@ class ShardedTagger:
         merge.assert_empty()
         if self.stats.merge_peak < merge.peak_occupancy:
             self.stats.merge_peak = merge.peak_occupancy
+        if failure is not None:
+            raise failure
 
     def tag_stream(
         self, records: Iterable[LogRecord], dead_letters=None

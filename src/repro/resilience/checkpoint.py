@@ -148,6 +148,11 @@ class CheckpointManager:
             self.store.save(checkpoint)
         return True
 
+    def due_in(self, records_consumed: int) -> int:
+        """Input records until the next snapshot falls due (at least 1):
+        a batching driver cuts its batch here to keep the cadence exact."""
+        return max(1, self._last_at + self.every - records_consumed)
+
     def prime(self, checkpoint: Optional[PipelineCheckpoint]) -> None:
         """Adopt an existing checkpoint as the starting point (resume).
 

@@ -19,7 +19,7 @@ from typing import Sequence, Tuple
 
 from ..core.categories import Alert
 from ..core.filtering import FilterReport
-from ..engine.stages import Sink, emit_batch
+from ..engine.stages import Sink
 from .columnar import ColumnarStoreWriter
 from .query import StoredAlertSequence
 
@@ -84,5 +84,5 @@ class StoreTeeSink:
         self.writer.append(alert, kept)
 
     def emit_batch(self, pairs: Sequence[Tuple[Alert, bool]]) -> None:
-        emit_batch(self.inner, pairs)
+        self.inner.emit_batch(pairs)
         self.writer.append_batch(pairs)

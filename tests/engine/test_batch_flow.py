@@ -1,13 +1,13 @@
-"""Batch flow through the stage engine: protocols, helpers, and the
+"""Batch flow through the stage engine: the sink seam and the
 batch/per-record differential.
 
-The batch-first refactor moves records through :class:`AlertPath` as
-lists (``process_batch``/``process_tagged_batch``) and through sinks as
-``(alert, kept)`` pair lists (``emit_batch``), while the per-record
-semantics stay expressed once in ``path.py``.  These tests pin:
+:class:`AlertPath` moves records through one batch core
+(``process_batch``/``process_tagged_batch``) and hands each batch's
+``(alert, kept)`` pairs to the sink in one ``emit_batch`` call.  These
+tests pin:
 
-* the protocol dispatch helpers fall back to the per-record loop for
-  third-party stages/sinks that only implement the original contract;
+* every sink's ``emit_batch`` equals its per-pair ``emit`` loop, and
+  the path makes one ``emit_batch`` call per batch;
 * ``AlertPath.process_batch`` over the golden corpus produces results
   identical to the per-record ``process`` loop, batch size by batch size;
 * strict batch mode and dead-letter mode agree where both are defined.
@@ -19,14 +19,7 @@ import pytest
 
 from repro.core.tagging import RulesetHandle
 from repro.engine.path import AlertPath
-from repro.engine.stages import (
-    BatchSink,
-    BatchStage,
-    Sink,
-    Stage,
-    emit_batch,
-    process_batch,
-)
+from repro.engine.stages import Sink
 from repro.logmodel.record import LogRecord
 from repro.resilience.deadletter import DeadLetterQueue
 
@@ -38,38 +31,13 @@ def record(t=1.0, body="ok", source="n1", system="liberty"):
                      body=body, system=system)
 
 
-class RecordingStage:
-    """A third-party stage written against the original protocol."""
-
-    def __init__(self):
-        self.seen = []
-
-    def process(self, rec):
-        self.seen.append(rec)
-
-
-class RecordingBatchStage(RecordingStage):
-    def __init__(self):
-        super().__init__()
-        self.batches = 0
-
-    def process_batch(self, records):
-        self.batches += 1
-        self.seen.extend(records)
-
-
-class RecordingSink:
+class RecordingBatchSink:
     def __init__(self):
         self.pairs = []
+        self.batches = 0
 
     def emit(self, alert, kept):
         self.pairs.append((alert, kept))
-
-
-class RecordingBatchSink(RecordingSink):
-    def __init__(self):
-        super().__init__()
-        self.batches = 0
 
     def emit_batch(self, pairs):
         self.batches += 1
@@ -77,44 +45,24 @@ class RecordingBatchSink(RecordingSink):
 
 
 class TestProtocolDispatch:
-    def test_per_record_stage_gets_the_loop(self):
-        stage = RecordingStage()
-        records = [record(t=float(i)) for i in range(5)]
-        process_batch(stage, records)
-        assert stage.seen == records
-        assert isinstance(stage, Stage)
-        assert not isinstance(stage, BatchStage)
-
-    def test_batch_stage_gets_one_call(self):
-        stage = RecordingBatchStage()
-        records = [record(t=float(i)) for i in range(5)]
-        process_batch(stage, records)
-        assert stage.seen == records
-        assert stage.batches == 1
-        assert isinstance(stage, BatchStage)
-
-    def test_per_pair_sink_gets_the_loop(self):
-        sink = RecordingSink()
-        pairs = [(object(), True), (object(), False)]
-        emit_batch(sink, pairs)
-        assert sink.pairs == pairs
-        assert isinstance(sink, Sink)
-        assert not isinstance(sink, BatchSink)
-
     def test_batch_sink_gets_one_call(self):
-        sink = RecordingBatchSink()
-        pairs = [(object(), True), (object(), False)]
-        emit_batch(sink, pairs)
-        assert sink.pairs == pairs
+        handle = RulesetHandle("liberty")
+        records = [
+            record(t=float(i), body=cat.example)
+            for i, cat in enumerate(handle.resolve()) if cat.example
+        ]
+        path = AlertPath("liberty")
+        path.sink = sink = RecordingBatchSink()
+        path.process_batch(records)
+        tagged = [r for r in records if path.tagger.tag(r) is not None]
+        assert tagged, "fixture must produce alerts"
         assert sink.batches == 1
-        assert isinstance(sink, BatchSink)
-
-    def test_alert_path_is_a_batch_stage(self):
-        assert isinstance(AlertPath("liberty"), BatchStage)
+        assert [alert.record for alert, _kept in sink.pairs] == tagged
+        assert isinstance(sink, Sink)
 
     def test_alert_list_sink_is_a_batch_sink(self):
         path = AlertPath("liberty")
-        assert isinstance(path.sink, BatchSink)
+        assert isinstance(path.sink, Sink)
 
 
 class TestEmitBatchEquivalence:

@@ -1,10 +1,12 @@
 """Unit tests for :class:`repro.engine.path.AlertPath` — the one object
-holding the per-record semantics every driver shares."""
+holding the semantics every driver shares."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.rules import get_ruleset
+from repro.core.tagging import BatchOutcome, Tagger
 from repro.engine.drivers import SerialDriver
 from repro.engine.path import AlertPath
 from repro.logmodel.record import LogRecord
@@ -29,9 +31,20 @@ def invalid_record():
                      facility="kernel", body="bad clock", system="liberty")
 
 
-class ExplodingTagger:
-    def tag(self, rec):
+class ExplodingTagger(Tagger):
+    def __init__(self):
+        super().__init__(get_ruleset("liberty"))
+
+    def match_text(self, text):
         raise RuntimeError("rules engine crashed")
+
+    def match_texts(self, texts):
+        raise RuntimeError("rules engine crashed")
+
+
+def worker_error(rec, error="RuntimeError('boom')"):
+    """A one-record batch as a worker reports a rules-engine crash."""
+    return [rec], BatchOutcome(size=1, errors=((0, error),))
 
 
 class TestAdmission:
@@ -61,40 +74,39 @@ class TestTagAndOffer:
         dlq = DeadLetterQueue()
         path = AlertPath("liberty", dead_letters=dlq,
                          tagger=ExplodingTagger())
-        assert path.tag(record()) is None
+        assert path.tag_batch_admitted([record()]) == []
         assert dlq.by_reason.get(REASON_TAGGER_ERROR) == 1
         assert not dict(path.severity_tab.messages)
 
     def test_tagger_error_strict_raises(self):
         path = AlertPath("liberty", tagger=ExplodingTagger())
         with pytest.raises(RuntimeError):
-            path.tag(record())
+            path.process(record())
 
     def test_apply_tagged_error_strict_raises_replay(self):
         path = AlertPath("liberty")
         with pytest.raises(TaggerErrorReplay):
-            path.apply_tagged(record(), error="RuntimeError('boom')")
+            path.process_tagged_batch(*worker_error(record()))
 
     def test_apply_tagged_error_quarantines(self):
         dlq = DeadLetterQueue()
         path = AlertPath("liberty", dead_letters=dlq)
-        assert path.apply_tagged(
-            record(), error="RuntimeError('boom')"
-        ) is None
+        path.process_tagged_batch(*worker_error(record()))
+        assert not path.sink.raw_alerts
         assert dlq.by_reason.get(REASON_TAGGER_ERROR) == 1
 
     def test_out_of_order_alert_quarantined(self):
         dlq = DeadLetterQueue()
         path = AlertPath("liberty", dead_letters=dlq)
-        path.offer(make_alert(100.0, system="liberty"))
-        path.offer(make_alert(50.0, system="liberty"))  # way backwards
+        path.offer([make_alert(100.0, system="liberty")])
+        path.offer([make_alert(50.0, system="liberty")])  # way backwards
         assert dlq.by_reason.get(REASON_OUT_OF_ORDER) == 1
         assert len(path.sink.raw_alerts) == 1
 
     def test_offer_feeds_sink_and_report(self):
         path = AlertPath("liberty")
-        path.offer(make_alert(10.0, system="liberty"))
-        path.offer(make_alert(10.5, category="CAT", system="liberty"))
+        path.offer([make_alert(10.0, system="liberty"),
+                    make_alert(10.5, category="CAT", system="liberty")])
         assert len(path.sink.raw_alerts) == 2
         assert path.report.raw_total == 2
 

@@ -176,6 +176,27 @@ class TestShardedTagger:
             with pytest.raises(TaggerErrorReplay, match="TypeError"):
                 list(sharded.tag_stream(records))
 
+    def test_source_crash_yields_submitted_batches_first(self, env_workers):
+        """A source that raises mid-stream: every batch it completed is
+        tagged and yielded before the exception, even when all of them
+        fit in the in-flight window, so a consumer can checkpoint them."""
+        records = _liberty_records(100)
+
+        def crashing():
+            yield from records[:90]
+            raise RuntimeError("collector died")
+
+        config = ParallelConfig(workers=env_workers, batch_size=10,
+                                max_inflight=16)
+        seen = []
+        with ShardedTagger("liberty", config) as sharded:
+            with pytest.raises(RuntimeError, match="collector died"):
+                for batch, _outcome in sharded.tag_batches(
+                    chunked(crashing(), 10)
+                ):
+                    seen.extend(batch)
+        assert seen == records[:90]
+
     def test_closed_tagger_refuses_work(self):
         sharded = ShardedTagger("liberty", ParallelConfig(workers=2))
         sharded.close()
