@@ -20,7 +20,18 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+
+
+def _stats():
+    """``scipy.stats``, imported on first use.
+
+    scipy is a runtime dependency of the fits alone; importing it here
+    rather than at module load keeps it out of every process that never
+    fits a distribution (``repro study``, the service, sharded parents).
+    """
+    from scipy import stats
+
+    return stats
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,7 @@ def _clean(sample: Sequence[float]) -> np.ndarray:
 def fit_exponential(sample: Sequence[float]) -> FitResult:
     """MLE exponential fit (rate = 1/mean), KS-tested against the sample."""
     array = _clean(sample)
+    stats = _stats()
     scale = float(array.mean())
     loglik = float(np.sum(stats.expon.logpdf(array, scale=scale)))
     ks = stats.kstest(array, "expon", args=(0, scale))
@@ -65,6 +77,7 @@ def fit_exponential(sample: Sequence[float]) -> FitResult:
 def fit_lognormal(sample: Sequence[float]) -> FitResult:
     """MLE lognormal fit (on log-space mean/sigma), KS-tested."""
     array = _clean(sample)
+    stats = _stats()
     logs = np.log(array)
     mu = float(logs.mean())
     sigma = float(logs.std(ddof=0))
@@ -89,6 +102,7 @@ def fit_weibull(sample: Sequence[float]) -> FitResult:
     means a decreasing hazard (bursty), shape = 1 reduces to exponential.
     """
     array = _clean(sample)
+    stats = _stats()
     shape, _, scale = stats.weibull_min.fit(array, floc=0)
     loglik = float(
         np.sum(stats.weibull_min.logpdf(array, shape, 0, scale))

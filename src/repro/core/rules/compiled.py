@@ -186,9 +186,15 @@ class CompiledRuleset:
         found = dispatch.search(text)
         if found is None:
             return None
-        # The dispatch found the leftmost-position winner; under
-        # first-rule-wins only the rules *ahead* of that branch can
-        # outrank it, so test exactly those.
+        return self._resolve(found, text)
+
+    def _resolve(self, found: "re.Match[str]", text: str) -> int:
+        """The winning rule index for a dispatch hit ``found`` on ``text``.
+
+        The dispatch found the leftmost-position winner; under
+        first-rule-wins only the rules *ahead* of that branch can outrank
+        it, so test exactly those.
+        """
         candidate = self._branch_of.get(found.lastindex)
         if candidate is None:  # defensive: resolve by wrapper group scan
             for gid, k in self._branch_of.items():
@@ -235,10 +241,11 @@ class CompiledRuleset:
             # Common shape (no literal gate): inline the reject test so
             # the ~no-alert majority costs one C call per text.
             search = dispatch.search
+            resolve = self._resolve
             for i, text in enumerate(texts):
-                if search(text) is None:
-                    continue
-                hits.append((i, categories[match_index(text)]))
+                found = search(text)
+                if found is not None:
+                    hits.append((i, categories[resolve(found, text)]))
             return hits
         for i, text in enumerate(texts):
             index = match_index(text)

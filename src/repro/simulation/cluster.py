@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..systems.specs import SystemSpec
 
@@ -50,6 +50,8 @@ class Cluster:
         self.nodes: List[Node] = []
         node_budget = min(spec.nodes, max_nodes)
         self._build(node_budget)
+        self._weights = self._chattiness()
+        self._pools: Dict[Tuple[NodeRole, ...], List[Node]] = {}
 
     def _build(self, node_budget: int) -> None:
         index = 0
@@ -126,6 +128,9 @@ class Cluster:
         follow a Zipf tail — together yielding the heavy-skewed per-source
         message distribution of Figure 2(b).
         """
+        return list(self._weights)
+
+    def _chattiness(self) -> List[Tuple[Node, float]]:
         weights: List[Tuple[Node, float]] = []
         compute_rank = 0
         for node in self.nodes:
@@ -146,11 +151,13 @@ class Cluster:
 
     def sample_nodes(self, rng, count: int, roles: Sequence[NodeRole] = ()) -> List[Node]:
         """Sample ``count`` distinct nodes, optionally restricted by role."""
-        pool = (
-            [n for n in self.nodes if n.role in roles] if roles else self.nodes
-        )
+        key = tuple(roles)
+        pool = self._pools.get(key)
+        if pool is None:
+            pool = [n for n in self.nodes if n.role in key] if key else self.nodes
+            self._pools[key] = pool
         if not pool:
             raise ValueError(f"no nodes with roles {roles} in cluster")
         count = min(count, len(pool))
         picks = rng.choice(len(pool), size=count, replace=False)
-        return [pool[int(i)] for i in picks]
+        return [pool[i] for i in picks.tolist()]

@@ -171,8 +171,9 @@ class IncidentPlanner:
         """Start times and sources shadowing another category's incidents."""
         picks = self.rng.integers(0, len(base), size=count)
         lags = 2.0 + self.rng.exponential(mean_lag, size=count)
-        times = np.array([base[int(i)].start for i in picks]) + lags
-        sources = [base[int(i)].sources for i in picks]
+        chosen = [base[i] for i in picks.tolist()]
+        times = np.array([inc.start for inc in chosen]) + lags
+        sources = [inc.sources for inc in chosen]
         return times, sources
 
     def _job_times(self, count: int) -> Tuple[np.ndarray, List[Tuple[str, ...]]]:
@@ -188,12 +189,12 @@ class IncidentPlanner:
         picks = self.rng.integers(0, len(hot_jobs), size=count)
         times = []
         sources: List[Tuple[str, ...]] = []
-        for i in picks:
-            job = hot_jobs[int(i)]
+        for i in picks.tolist():
+            job = hot_jobs[i]
             times.append(job.start + self.rng.random() * job.duration)
             width = min(len(job.nodes), max(2, int(self.rng.integers(2, 9))))
             chosen = self.rng.choice(len(job.nodes), size=width, replace=False)
-            sources.append(tuple(job.nodes[int(j)].name for j in chosen))
+            sources.append(tuple([job.nodes[j].name for j in chosen.tolist()]))
         return np.array(times), sources
 
     def _sample_sources(self, cat: CategoryCalibration) -> Tuple[str, ...]:

@@ -96,7 +96,7 @@ class WorkloadModel:
                 width *= 2
             width = min(width, max_width)
             picks = rng.choice(len(compute), size=width, replace=False)
-            nodes = tuple(compute[int(i)] for i in picks)
+            nodes = tuple([compute[i] for i in picks.tolist()])
             # Lognormal with sigma=1 around the configured mean duration.
             duration = float(rng.lognormal(mean=0.0, sigma=1.0)) * self.mean_duration
             duration = max(60.0, min(duration, 86400.0 * 2))
