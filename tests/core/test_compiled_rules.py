@@ -290,6 +290,52 @@ class TestFallbackMode:
         assert compiled.match_texts(["a", "b"]) == []
 
 
+class TestMatchTextsBranches:
+    """``match_texts`` has a literal-gated loop and a no-gate loop that
+    resolves each dispatch hit from its match object; both must agree
+    with the per-text path and raise on a non-string where it would."""
+
+    NO_GATE = _ruleset(r"(?:ab|cd)+e", r"(x|y)z", r"ab")
+
+    @pytest.mark.parametrize("system", [None] + ALL_SYSTEMS)
+    def test_non_string_raises_at_its_position(self, system):
+        ruleset = self.NO_GATE if system is None else RULESETS[system]
+        compiled = compiled_ruleset(ruleset)
+        assert (compiled.literal_gate is None) == (system is None)
+        hit = "abe" if system is None else next(
+            cat.example for cat in compiled.categories if cat.example
+        )
+        texts = ["chaff", hit, "zz", None, hit]
+        consumed = []
+
+        def stream():
+            for text in texts:
+                consumed.append(text)
+                yield text
+
+        with pytest.raises(TypeError):
+            compiled.match_index(None)
+        with pytest.raises(TypeError):
+            compiled.match_texts(stream())
+        assert len(consumed) == 4
+        assert compiled.match_texts(texts[:3]) == [
+            (i, compiled.categories[k])
+            for i, k in enumerate(map(compiled.match_index, texts[:3]))
+            if k is not None
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=st.lists(st.text(alphabet="abcdexyz ", max_size=12), max_size=8))
+    def test_no_gate_branch_equals_naive_scan(self, texts):
+        compiled = compiled_ruleset(self.NO_GATE)
+        expected = []
+        for i, text in enumerate(texts):
+            k = naive_index(compiled, text)
+            if k is not None:
+                expected.append((i, compiled.categories[k]))
+        assert compiled.match_texts(texts) == expected
+
+
 # ---------------------------------------------------------------------------
 # required_literal units.
 # ---------------------------------------------------------------------------
